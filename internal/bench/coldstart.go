@@ -17,7 +17,7 @@ import (
 // ColdStart measures the serving cold start the persistent session store
 // removes, three ways per index size: the wall time of a full rebuild
 // (grouping, policy partition, parallel per-shard index construction),
-// engine.OpenSession decoding every shard into the heap, and the mmap
+// engine.OpenSession reading and verifying every shard in the heap, and the mmap
 // open that reads only each shard's CRC-protected header and backs the
 // arrays with zero-copy views. The rebuild is O(database), the heap open
 // O(index bytes), the mapped open O(header) — with the deferred content

@@ -178,6 +178,24 @@ func sortPSMs(ms []PSM) {
 	})
 }
 
+// topK returns the best k of the sorted PSMs (all of them when k <= 0)
+// as a fresh slice whose capacity equals its length; an empty input is
+// returned as is. A kept answer must not be a window onto the candidate
+// list it was cut from: the server's answer cache charges each entry by
+// its length, and a re-slice would keep every candidate of an open
+// search alive behind it.
+func topK(psms []PSM, k int) []PSM {
+	if len(psms) == 0 {
+		return psms
+	}
+	if k > 0 && len(psms) > k {
+		psms = psms[:k]
+	}
+	kept := make([]PSM, len(psms))
+	copy(kept, psms)
+	return kept
+}
+
 // RunSerial searches queries against a single shared-memory index over the
 // whole peptide list: the baseline system LBE distributes. The returned
 // Result has one RankStats entry (rank 0).
@@ -225,10 +243,7 @@ func RunSerial(peptides []string, queries []spectrum.Experimental, cfg Config) (
 			}
 		}
 		sortPSMs(psms)
-		if cfg.TopK > 0 && len(psms) > cfg.TopK {
-			psms = psms[:cfg.TopK]
-		}
-		res.PSMs[q] = psms
+		res.PSMs[q] = topK(psms, cfg.TopK)
 	}
 	res.TotalNanos = time.Since(start).Nanoseconds()
 	return res, nil

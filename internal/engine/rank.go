@@ -259,9 +259,7 @@ func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []sp
 
 	for q := range res.PSMs {
 		sortPSMs(res.PSMs[q])
-		if cfg.TopK > 0 && len(res.PSMs[q]) > cfg.TopK {
-			res.PSMs[q] = res.PSMs[q][:cfg.TopK]
-		}
+		res.PSMs[q] = topK(res.PSMs[q], cfg.TopK)
 	}
 	res.QueryNanos = time.Since(queryPhaseStart).Nanoseconds()
 	res.TotalNanos = time.Since(start).Nanoseconds()

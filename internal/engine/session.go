@@ -544,9 +544,12 @@ func (st *Stream) mergeLoop(in <-chan shardSearched) {
 			}
 			return
 		}
+		// Every query merges through one scratch slice reused across the
+		// batch; only its kept top-K is copied out (see topK).
 		psms := make([][]PSM, len(ss.qs))
+		var merged []PSM
 		for q := range ss.qs {
-			var merged []PSM
+			merged = merged[:0]
 			for m := range ss.sched.Matches {
 				for _, match := range ss.sched.Matches[m][q] {
 					gidx, err := s.table.Lookup(m, match.Peptide)
@@ -563,11 +566,10 @@ func (st *Stream) mergeLoop(in <-chan shardSearched) {
 					})
 				}
 			}
-			sortPSMs(merged)
-			if s.cfg.TopK > 0 && len(merged) > s.cfg.TopK {
-				merged = merged[:s.cfg.TopK]
+			if len(merged) > 0 {
+				sortPSMs(merged)
+				psms[q] = topK(merged, s.cfg.TopK)
 			}
-			psms[q] = merged
 		}
 		s.record(len(ss.qs), ss.sched)
 		works := make([]slm.Work, len(ss.sched.Shards))
@@ -698,9 +700,14 @@ func (s *Session) Search(ctx context.Context, queries []spectrum.Experimental) (
 	}
 	defer st.cancel()
 
+	// Read the batch size here, under the lock Tune writes it under: the
+	// pusher below can outlive a cancelled Search.
+	s.mu.Lock()
+	bsize := s.cfg.effectiveBatch(len(queries))
+	s.mu.Unlock()
 	go func() {
 		defer st.Close()
-		st.PushAll(queries, s.cfg.effectiveBatch(len(queries)))
+		st.PushAll(queries, bsize)
 	}()
 
 	res := &Result{

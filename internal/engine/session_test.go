@@ -11,6 +11,7 @@ import (
 	"lbe/internal/core"
 	"lbe/internal/digest"
 	"lbe/internal/gen"
+	"lbe/internal/mass"
 	"lbe/internal/spectrum"
 )
 
@@ -478,4 +479,67 @@ func BenchmarkSessionSearch(b *testing.B) {
 			b.ReportMetric(float64(len(queries)), "queries/op")
 		})
 	}
+}
+
+// TestTopKAnswersDoNotPinCandidates: under open search every query has
+// far more candidates than TopK. Each kept answer must be an
+// exact-length slice — not a re-slice of the full candidate list, which
+// would keep every candidate alive in the server's answer cache while
+// being charged for TopK entries — on every path that truncates:
+// Session.Search, Stream and RunSerial.
+func TestTopKAnswersDoNotPinCandidates(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 6, 2, 30)
+	cfg := lightConfig()
+	cfg.Params.PrecursorTol = mass.Open()
+	cfg.TopK = 10
+	requireTight := func(label string, psms [][]PSM) {
+		t.Helper()
+		over := 0
+		for q, ps := range psms {
+			if cap(ps) > cfg.TopK {
+				t.Errorf("%s: query %d keeps %d PSMs in a slice of capacity %d", label, q, len(ps), cap(ps))
+			}
+			if len(ps) == cfg.TopK {
+				over++
+			}
+		}
+		if over == 0 {
+			t.Fatalf("%s: no query reached TopK=%d; the test needs truncated answers", label, cfg.TopK)
+		}
+	}
+
+	serial, err := RunSerial(peptides, queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTight("RunSerial", serial.PSMs)
+
+	sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	res, err := sess.Search(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTight("Session.Search", res.PSMs)
+
+	st, err := sess.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer st.Close()
+		st.PushAll(queries, 7)
+	}()
+	streamed := make([][]PSM, len(queries))
+	for br := range st.Results() {
+		copy(streamed[br.Offset:], br.PSMs)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	requireTight("Stream", streamed)
 }

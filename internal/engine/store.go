@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"lbe/internal/core"
+	"lbe/internal/mmapio"
 	"lbe/internal/slm"
 )
 
@@ -441,29 +442,6 @@ func manifestDigest(doc []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// measuredReader feeds a shard file to slm.ReadIndex while accumulating
-// the whole-file CRC. Len exposes the unread byte count so the SLMX
-// decoder can bound its allocations against the true input size.
-type measuredReader struct {
-	r   io.Reader
-	rem int64
-	crc uint32
-}
-
-func (m *measuredReader) Read(p []byte) (int, error) {
-	n, err := m.r.Read(p)
-	m.crc = crc32.Update(m.crc, crc32.IEEETable, p[:n])
-	m.rem -= int64(n)
-	return n, err
-}
-
-func (m *measuredReader) Len() int {
-	if m.rem < 0 {
-		return 0
-	}
-	return int(m.rem)
-}
-
 // checkStoredName rejects manifest file names that would escape the
 // store directory.
 func checkStoredName(name string) error {
@@ -497,98 +475,60 @@ func openStoredFile(dir string, sf storedFile) ([]byte, error) {
 	return data, nil
 }
 
-// openShard loads and verifies one SLMX shard file. With mapped set it
-// first attempts a zero-copy mapped open (returning lazy=true: content
-// verification is deferred, see shardVerifier); any mapped failure falls
-// back to the heap path, whose error (if the file is genuinely bad) is
-// the one reported — both readers enforce the same format checks, so a
-// file one rejects the other rejects too.
-func openShard(dir string, sf storedFile, mapped bool) (ix *slm.Index, lazy bool, err error) {
+// openShard opens one SLMX shard file. Both open modes run the same
+// code: the manifest's size is checked, slm.OpenIndex validates the
+// header and builds the index over the file's bytes, and the returned
+// verifier runs everything else — the index's own content checks
+// (section CRCs, padding, CSR shape) and the manifest's whole-file CRC,
+// which catches shard files swapped between slots or replaced wholesale,
+// corruptions the file-internal checksums cannot see because the files
+// stay self-consistent. Both checks read the bytes the index serves,
+// never the path again, so a file replaced after open cannot mask or
+// fake a result.
+//
+// mapped only chooses where the bytes come from — a read-only mapping
+// or an aligned heap copy — and when the verifier runs: a heap open runs
+// it here and returns a nil verifier; a mapped open keeps the open
+// O(header) and hands the verifier to the session, which runs it once
+// before the first query (its pass also faults the mapping in, so the
+// first search runs warm).
+func openShard(dir string, sf storedFile, mapped bool) (*slm.Index, func() error, error) {
 	if err := checkStoredName(sf.Name); err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	path := filepath.Join(dir, sf.Name)
+	read := mmapio.ReadFile
 	if mapped {
-		if ix, err := openShardMapped(path, sf); err == nil {
-			return ix, true, nil
-		}
+		read = mmapio.Open
 	}
-	f, err := os.Open(path)
+	m, err := read(filepath.Join(dir, sf.Name))
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %w", err)
+		return nil, nil, fmt.Errorf("engine: open: %w", err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	if size := int64(m.Len()); size != sf.Size {
+		m.Close()
+		return nil, nil, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, size, sf.Size)
+	}
+	ix, err := slm.OpenIndex(m)
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %w", err)
+		return nil, nil, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
 	}
-	if fi.Size() != sf.Size {
-		return nil, false, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
-	}
-	mr := &measuredReader{r: f, rem: fi.Size()}
-	ix, err = slm.ReadIndex(mr)
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
-	}
-	// Drain read-ahead to EOF so the CRC covers the whole file; trailing
-	// junk after the SLMX checksum surfaces as a manifest CRC mismatch.
-	if _, err := io.Copy(io.Discard, mr); err != nil {
-		return nil, false, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
-	}
-	if mr.crc != sf.CRC32 {
-		return nil, false, fmt.Errorf("engine: open: %s checksum %08x does not match manifest %08x", sf.Name, mr.crc, sf.CRC32)
-	}
-	return ix, false, nil
-}
-
-// openShardMapped opens one shard with mmap backing. Only the manifest's
-// size and the SLMX header (CRC-protected section table) are checked
-// here — no section byte is read, which is what makes a mapped warm
-// start O(header) per shard instead of O(file). Content verification
-// (section CRCs and the manifest's whole-file CRC) is deferred to the
-// session's first query via shardVerifier.
-func openShardMapped(path string, sf storedFile) (*slm.Index, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
-	}
-	if fi.Size() != sf.Size {
-		return nil, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
-	}
-	ix, err := slm.OpenIndexMapped(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
-	}
-	return ix, nil
-}
-
-// shardVerifier is the deferred half of a mapped shard open, run once by
-// the session before its first query: the index's own content checks
-// (section CRCs, padding, CSR shape — this pass also faults the mapping
-// in, so the first search runs warm), then the manifest's whole-file CRC
-// over the store file, which catches shard files swapped between slots
-// or replaced wholesale — corruptions the file-internal checksums cannot
-// see because the files stay self-consistent.
-func shardVerifier(dir string, sf storedFile, ix *slm.Index) func() error {
-	return func() error {
+	verify := func() error {
 		if err := ix.Verify(); err != nil {
-			return fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: %s: %w", sf.Name, err)
 		}
-		f, err := os.Open(filepath.Join(dir, sf.Name))
-		if err != nil {
-			return fmt.Errorf("engine: verify: %w", err)
-		}
-		cw := &checksumWriter{w: io.Discard}
-		_, err = io.Copy(cw, f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("engine: verify: %s: %w", sf.Name, err)
-		}
-		if cw.n != sf.Size || cw.crc != sf.CRC32 {
-			return fmt.Errorf("engine: verify: %s checksum %08x does not match manifest %08x", sf.Name, cw.crc, sf.CRC32)
+		if crc := crc32.ChecksumIEEE(m.Bytes()); crc != sf.CRC32 {
+			return fmt.Errorf("engine: %s checksum %08x does not match manifest %08x", sf.Name, crc, sf.CRC32)
 		}
 		return nil
 	}
+	if mapped {
+		return ix, verify, nil
+	}
+	if err := verify(); err != nil {
+		ix.Close()
+		return nil, nil, err
+	}
+	return ix, nil, nil
 }
 
 // OpenOptions controls how OpenSession backs the loaded store.
@@ -602,10 +542,15 @@ type OpenOptions struct {
 	// CRCs and the manifest's whole-file CRCs — is deferred to the
 	// session's first query, so a corrupt store surfaces as a Search or
 	// Stream error instead of an open error, always before any result is
-	// produced. Results are byte-identical either way. Shards that
-	// cannot be mapped (v1 files, platforms without mmap) silently fall
-	// back to the eagerly-verified heap load; Session.MappedShards
-	// reports the outcome.
+	// produced.
+	//
+	// With MapStore off each shard file is read into the heap and fully
+	// verified at open. Either way the same parser builds the index over
+	// the file's bytes and the same checks run over them, so both modes
+	// accept the same stores and answer byte-identically; only where the
+	// bytes live and when they are checked differ. On platforms without
+	// mmap a mapped open reads the file into the heap instead;
+	// Session.MappedShards reports the outcome.
 	MapStore bool
 }
 
@@ -737,31 +682,25 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 		}
 	}
 
-	// Shards load in parallel. Heap opens decode and verify everything
-	// here (O(index bytes)); mapped opens validate headers only
-	// (O(header) — the near-instant warm start) and push their content
-	// verification into lazy, run by the session before its first query.
+	// Shards load in parallel. Heap opens read and verify everything here
+	// (O(index bytes)); mapped opens validate headers only (O(header) —
+	// the near-instant warm start) and return their verifiers, which the
+	// session runs before its first query.
 	shards := make([]*slm.Index, p)
-	lazy := make([]func() error, 0, p)
-	lazyFor := make([]bool, p)
+	verifiers := make([]func() error, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for m := 0; m < p; m++ {
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
-			shards[m], lazyFor[m], errs[m] = openShard(dir, man.Shards[m], opts.MapStore)
+			shards[m], verifiers[m], errs[m] = openShard(dir, man.Shards[m], opts.MapStore)
 		}(m)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
-		}
-	}
-	for m, ix := range shards {
-		if lazyFor[m] {
-			lazy = append(lazy, shardVerifier(dir, man.Shards[m], ix))
 		}
 	}
 
@@ -805,7 +744,9 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	s.load = append([]RankStats(nil), s.build...)
 	s.pool = s.cfg.newSessionPool()
 	s.digest = manifestDigest(doc)
-	s.storeVerify = lazy
+	if opts.MapStore {
+		s.storeVerify = verifiers
+	}
 	return s, peptides, nil
 }
 

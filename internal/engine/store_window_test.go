@@ -2,12 +2,13 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"lbe/internal/core"
@@ -54,68 +55,85 @@ func TestWindowedSearchMatchesFullScan(t *testing.T) {
 	}
 }
 
-// rewriteStoreAsV2 re-encodes every shard file of a saved store in the
-// legacy v2 SLMX format and re-anchors the manifest's size and CRC
-// records, producing the store a pre-v3 build would have written.
-func rewriteStoreAsV2(t *testing.T, dir string) {
+// rewriteShard replaces one shard file of a saved store with
+// edit(its bytes) and re-anchors the manifest's size and CRC records, so
+// the store-level checksums still agree and only the SLMX content is at
+// fault.
+func rewriteShard(t *testing.T, dir, name string, edit func([]byte) []byte) {
 	t.Helper()
-	doc, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	path := filepath.Join(dir, name)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man map[string]any
-	if err := json.Unmarshal(doc, &man); err != nil {
+	data = edit(data)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shards := man["shards"].([]any)
-	for _, e := range shards {
-		rec := e.(map[string]any)
-		path := filepath.Join(dir, rec["name"].(string))
-		ix, err := slm.LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	editManifest(t, dir, func(m map[string]any) {
+		for _, e := range m["shards"].([]any) {
+			if rec := e.(map[string]any); rec["name"] == name {
+				rec["size"] = len(data)
+				rec["crc32"] = crc32.ChecksumIEEE(data)
+			}
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+	})
+}
+
+// patchVersion sets the SLMX version field of a valid image and re-fixes
+// its header CRC, which is the first 4-byte field after the version
+// holding the CRC of everything between the magic and itself.
+func patchVersion(t *testing.T, data []byte, version uint32) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	for crcOff := 8; crcOff+4 <= len(data); crcOff++ {
+		if crc32.ChecksumIEEE(data[4:crcOff]) == le.Uint32(data[crcOff:]) {
+			le.PutUint32(data[4:], version)
+			le.PutUint32(data[crcOff:], crc32.ChecksumIEEE(data[4:crcOff]))
+			return data
 		}
-		if _, err := ix.WriteToVersion(f, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec["size"] = len(data)
-		rec["crc32"] = crc32.ChecksumIEEE(data)
 	}
-	out, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), out, 0o644); err != nil {
-		t.Fatal(err)
+	t.Fatal("no header CRC found in the shard image")
+	return nil
+}
+
+// TestStoreOpenPreV3Rejected: a store with a shard in a retired SLMX
+// version is refused at open in both modes with an error naming the
+// version and the rebuild command — old stores are rebuilt, never
+// migrated.
+func TestStoreOpenPreV3Rejected(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		dir, _ := storeFixture(t, 2, true)
+		rewriteShard(t, dir, "shard-0001.slmx", func(d []byte) []byte { return patchVersion(t, d, version) })
+		for _, mapped := range []bool{false, true} {
+			sess, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: mapped})
+			if err == nil {
+				sess.Close()
+				t.Fatalf("v%d shard, MapStore=%v: store opened", version, mapped)
+			}
+			var stale *slm.StaleVersionError
+			if !errors.As(err, &stale) || stale.Version != version {
+				t.Fatalf("v%d shard, MapStore=%v: want *slm.StaleVersionError, got %v", version, mapped, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", version)) ||
+				!strings.Contains(msg, "lbe-index -out") || !strings.Contains(msg, "shard-0001.slmx") {
+				t.Errorf("v%d shard, MapStore=%v: error %q must name the file, the version and the rebuild command",
+					version, mapped, msg)
+			}
+		}
 	}
 }
 
-// TestStoreOpenV2Migration: a store whose shards are legacy v2 files must
-// still open — mapped opens fall back to the heap (v2 postings must be
-// rewritten into precursor order, which a read-only mapping cannot back)
-// — and serve PSMs identical to the v3 store it was derived from.
-func TestStoreOpenV2Migration(t *testing.T) {
+// TestMappedVerifyChecksServedBytes: the deferred verification of a
+// mapped open checks the bytes the session serves, not whatever file
+// sits at the shard's path by the first query. A corrupted copy renamed
+// over a shard file after the open leaves the mapping on the original
+// inode, so the first Search must succeed and answer byte-identically
+// to a heap open of the original store.
+func TestMappedVerifyChecksServedBytes(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 25)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
-	cfg.Params.PrecursorTol = mass.Da(0.5)
 	live, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	ctx := context.Background()
-	want, err := live.Search(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,55 +141,41 @@ func TestStoreOpenV2Migration(t *testing.T) {
 	if err := live.Save(dir, peptides); err != nil {
 		t.Fatal(err)
 	}
-	rewriteStoreAsV2(t, dir)
+	live.Close()
+	ctx := context.Background()
 
-	// Mapped open: every shard must fall back to the heap, not fail.
-	sess, gotPeps, err := OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if !reflect.DeepEqual(gotPeps, peptides) {
-		t.Fatal("reloaded peptide list differs")
-	}
-	if n := sess.MappedShards(); n != 0 {
-		t.Fatalf("%d shards report mapped backing for a v2 store", n)
-	}
-	got, err := sess.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalPSMs(t, "v2 store (mapped open)", got.PSMs, want.PSMs)
-
-	// Heap open exercises the streaming v2 decoder against the same files.
-	heap, _, err := OpenSessionOptions(dir, OpenOptions{})
+	heap, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer heap.Close()
-	got2, err := heap.Search(ctx, queries)
+	want, err := heap.Search(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdenticalPSMs(t, "v2 store (heap open)", got2.PSMs, want.PSMs)
 
-	// Re-encoding the migrated session's shards with the current writer
-	// (what `lbe-index -out` does) must yield a store that opens mapped.
-	out := filepath.Join(t.TempDir(), "reencoded")
-	if err := sess.Save(out, peptides); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := OpenSession(out)
+	mapped, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if n := re.MappedShards(); n != re.NumShards() {
-		t.Fatalf("re-encoded store mapped %d of %d shards", n, re.NumShards())
-	}
-	got3, err := re.Search(ctx, queries)
+	defer mapped.Close()
+	path := filepath.Join(dir, "shard-0001.slmx")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdenticalPSMs(t, "re-encoded store", got3.PSMs, want.PSMs)
+	data[len(data)/2] ^= 0xFF
+	tmp := filepath.Join(dir, "corrupt.tmp")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := mapped.Search(ctx, queries)
+	if err != nil {
+		t.Fatalf("first mapped search after the file was replaced: %v", err)
+	}
+	requireIdenticalPSMs(t, "mapped open, file replaced after open", got.PSMs, want.PSMs)
 }

@@ -8,7 +8,9 @@
 // without mmap — or when the mapping syscall fails — Open silently falls
 // back to reading the file into the heap, so callers get identical
 // semantics everywhere and only the performance profile differs
-// (Mapped reports which mode a Mapping is in).
+// (Mapped reports which mode a Mapping is in). ReadFile takes that heap
+// path on purpose: its buffer is aligned like a mapping, so code that
+// builds typed views over Bytes runs unchanged over either source.
 //
 // The returned bytes are read-only by contract. Writing to a mapped
 // region faults; writing to a fallback region silently diverges from the
@@ -17,9 +19,11 @@ package mmapio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // Advice is a usage hint forwarded to madvise(2) where supported (Linux);
@@ -54,9 +58,24 @@ type Mapping struct {
 
 // Open maps the named file read-only. Empty files yield a valid Mapping
 // with zero-length Bytes. If the platform cannot map (or the mmap
-// syscall fails), the file is read into the heap instead and Mapped
-// reports false.
+// syscall fails), the file is read into the heap as by ReadFile and
+// Mapped reports false.
 func Open(path string) (*Mapping, error) {
+	return open(path, true)
+}
+
+// ReadFile reads the named file into a heap buffer whose first byte is
+// 8-byte aligned, so the bytes can back typed views of 8-byte values
+// exactly like a page-aligned mapping. The returned Mapping is never
+// memory-mapped: Mapped reports false and Advise is a no-op.
+func ReadFile(path string) (*Mapping, error) {
+	return open(path, false)
+}
+
+// open validates path as a regular, addressable file and returns its
+// contents: memory-mapped when mapped is set and the platform allows it,
+// otherwise read into an aligned heap buffer.
+func open(path string, mapped bool) (*Mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -76,20 +95,23 @@ func Open(path string) (*Mapping, error) {
 	if int64(int(size)) != size || size < 0 {
 		return nil, fmt.Errorf("mmapio: %s is %d bytes, beyond the addressable range", path, size)
 	}
-
-	if data, err := mmapFile(f, int(size)); err == nil {
-		m := &Mapping{data: data, mapped: true}
-		runtime.SetFinalizer(m, (*Mapping).finalize)
-		return m, nil
+	if mapped {
+		if data, err := mmapFile(f, int(size)); err == nil {
+			m := &Mapping{data: data, mapped: true}
+			runtime.SetFinalizer(m, (*Mapping).finalize)
+			return m, nil
+		}
 	}
-
-	// Portable fallback: a private heap copy with identical read
-	// semantics (no page-cache sharing, no RSS savings).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	// A private heap copy with identical read semantics (no page-cache
+	// sharing, no RSS savings). Backing it with []uint64 guarantees the
+	// alignment a mapping would give typed views.
+	words := make([]uint64, (size+7)/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), int(size))
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("mmapio: reading %s: %w", path, err)
 	}
-	if int64(len(data)) != size {
+	var extra [1]byte
+	if n, _ := f.Read(extra[:]); n != 0 {
 		return nil, fmt.Errorf("mmapio: %s changed size during open", path)
 	}
 	return &Mapping{data: data}, nil

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func writeTemp(t *testing.T, data []byte) string {
@@ -74,5 +75,29 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if m.Advise(AdviceRandom) != nil {
 		t.Error("Advise after Close must be a no-op")
+	}
+}
+
+func TestReadFileIsAlignedHeapCopy(t *testing.T) {
+	want := bytes.Repeat([]byte("aligned"), 999)
+	m, err := ReadFile(writeTemp(t, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.Mapped() {
+		t.Error("ReadFile must not memory-map")
+	}
+	if !bytes.Equal(m.Bytes(), want) {
+		t.Fatalf("heap bytes differ from file contents (len %d vs %d)", m.Len(), len(want))
+	}
+	if p := uintptr(unsafe.Pointer(&m.Bytes()[0])); p%8 != 0 {
+		t.Errorf("heap buffer at %#x is not 8-byte aligned", p)
+	}
+	if m.Advise(AdviceSequential) != nil {
+		t.Error("Advise on a heap copy must be a no-op")
+	}
+	if _, err := ReadFile(t.TempDir()); err == nil {
+		t.Error("directory must fail")
 	}
 }

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lbe/internal/mods"
 )
 
-// FuzzReadIndex hammers the SLMX decoder with arbitrary bytes. The
-// decoder must never panic, hang, or allocate proportionally to a forged
-// count field; any input it does accept must re-serialize and re-read to
-// an index of identical shape.
+// FuzzReadIndex hammers the SLMX reader with arbitrary bytes through
+// both open modes. Neither may panic, hang, or allocate proportionally
+// to a forged count field; they must accept and reject exactly the same
+// inputs; and any accepted input must be the canonical image of its
+// index — WriteTo reproduces it byte for byte.
 func FuzzReadIndex(f *testing.F) {
 	params := DefaultParams()
 	params.Mods.MaxPerPep = 1
@@ -33,48 +36,48 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// v1 streams keep their own decode path alive; a mods-free v1 index
-	// puts the nrows field at the fixed offset 66 (magic 4 + version 4 +
-	// params 54 + nseries 4), so a huge-row-count seed can be forged
-	// deterministically.
+	// A mods-free index gives the header its smallest fixed layout, so
+	// count fields sit at offsets the seeds below can forge.
 	plainParams := DefaultParams()
 	plainParams.Mods = mods.Config{}
 	plain, err := Build([]string{"PEPTIDEK"}, plainParams)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var plainV1 bytes.Buffer
-	if err := writeToV1(plain, &plainV1); err != nil {
+	tableOff, crcOff, headerLen := headerOffsets(plain)
+	var plainV3 bytes.Buffer
+	if _, err := plain.WriteTo(&plainV3); err != nil {
 		f.Fatal(err)
 	}
-	var validV1 bytes.Buffer
-	if err := writeToV1(ix, &validV1); err != nil {
-		f.Fatal(err)
+	// withVersion patches the version field of a valid image and re-fixes
+	// the header CRC: the retired-format refusal under fuzz.
+	withVersion := func(v uint32) []byte {
+		d := append([]byte(nil), plainV3.Bytes()...)
+		binary.LittleEndian.PutUint32(d[len(indexMagic):], v)
+		refixHeaderCRC(d, crcOff)
+		return d
 	}
 
 	f.Add(valid.Bytes())
 	f.Add(emptyBuf.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
-	f.Add(validV1.Bytes())
+	f.Add(withVersion(1))
 	f.Add([]byte("SLMX"))
 	f.Add([]byte("NOPE"))
-	// A truncated v1 header claiming a gigantic row count.
-	hugeRows := append([]byte(nil), plainV1.Bytes()[:70]...)
-	binary.LittleEndian.PutUint32(hugeRows[66:], 0xFFFFFFFF)
-	f.Add(hugeRows)
-	// The same offset in the mods-bearing v1 stream is the first mod-name
-	// length: forge that too.
-	hugeName := append([]byte(nil), validV1.Bytes()[:70]...)
-	binary.LittleEndian.PutUint32(hugeName[66:], 0xFFFFFFFF)
+	// A truncated header claiming a gigantic bucket count.
+	hugeBuckets := append([]byte(nil), plainV3.Bytes()[:headerLen]...)
+	binary.LittleEndian.PutUint32(hugeBuckets[tableOff-4:], 0xFFFFFFFF)
+	refixHeaderCRC(hugeBuckets, crcOff)
+	f.Add(hugeBuckets)
+	// A mods-bearing header whose first mod name claims 4 GiB.
+	_, modsCRCOff, _ := headerOffsets(ix)
+	hugeName := append([]byte(nil), valid.Bytes()...)
+	binary.LittleEndian.PutUint32(hugeName[len(indexMagic)+4+int(paramsBlockLen(Params{}))+len(ix.params.IonSeries):], 0xFFFFFFFF)
+	refixHeaderCRC(hugeName, modsCRCOff)
 	f.Add(hugeName)
-	// v3 seeds: a forged section table — gigantic rows count at the
-	// canonical offsets with a re-fixed header CRC — and a corrupt
-	// section CRC in an otherwise intact file.
-	tableOff, crcOff, headerLen := headerOffsets(plain, sectionTableEntries)
-	var plainV3 bytes.Buffer
-	if _, err := plain.WriteTo(&plainV3); err != nil {
-		f.Fatal(err)
-	}
+	// A forged section table — gigantic rows count at the canonical
+	// offsets with a re-fixed header CRC — and a corrupt section CRC in
+	// an otherwise intact file.
 	forged := append([]byte(nil), plainV3.Bytes()[:headerLen]...)
 	binary.LittleEndian.PutUint64(forged[tableOff+8:], 1<<27)
 	refixHeaderCRC(forged, crcOff)
@@ -83,17 +86,13 @@ func FuzzReadIndex(f *testing.F) {
 	badSec[len(badSec)-1] ^= 0xFF
 	f.Add(badSec)
 
-	// A v2 stream (raw row-id postings, three sections): keeps the
-	// legacy decode-and-resort path under fuzz.
-	var plainV2 bytes.Buffer
-	if _, err := plain.WriteToVersion(&plainV2, indexVersionV2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(plainV2.Bytes())
-	f.Add(plainV2.Bytes()[:len(plainV2.Bytes())/2])
+	// The other retired version, and an image with a byte past its last
+	// section.
+	f.Add(withVersion(2))
+	f.Add(append(append([]byte(nil), plainV3.Bytes()...), 0))
 
-	// v3 semantic-corruption seeds: bytes whose CRCs all verify but whose
-	// precursor-order invariants are broken. The decoder must reject, not
+	// Semantic-corruption seeds: bytes whose CRCs all verify but whose
+	// precursor-order invariants are broken. The reader must reject, not
 	// mis-serve, each of them.
 	//   entry 4 (precs): first two entries swapped — non-monotone column,
 	//   and one that also disagrees with the rows it mirrors.
@@ -127,24 +126,32 @@ func FuzzReadIndex(f *testing.F) {
 	refixHeaderCRC(permMismatch, crcOff)
 	f.Add(permMismatch)
 
+	// One input file per fuzzing process: inputs run one at a time, and
+	// each iteration closes its mapping before the next rewrites the file.
+	path := filepath.Join(f.TempDir(), "input.slm")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadIndex(bytes.NewReader(data))
-		if err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		heap, heapErr := LoadFile(path)
+		mapped, mapErr := OpenIndexMapped(path)
+		if mapErr == nil {
+			mapErr = mapped.Verify()
+			defer mapped.Close()
+		}
+		if (heapErr == nil) != (mapErr == nil) {
+			t.Fatalf("open modes disagree: LoadFile %v, OpenIndexMapped+Verify %v", heapErr, mapErr)
+		}
+		if heapErr != nil {
 			return
 		}
-		// Accepted inputs must survive a write/read round trip. The
-		// opaque re-read also exercises the unknown-size decoding path.
 		var buf bytes.Buffer
-		if _, err := got.WriteTo(&buf); err != nil {
+		if _, err := heap.WriteTo(&buf); err != nil {
 			t.Fatalf("re-serializing an accepted index failed: %v", err)
 		}
-		again, err := ReadIndex(opaqueReader{bytes.NewReader(buf.Bytes())})
-		if err != nil {
-			t.Fatalf("re-reading a re-serialized index failed: %v", err)
-		}
-		if again.NumRows() != got.NumRows() || again.NumIons() != got.NumIons() {
-			t.Fatalf("round trip changed shape: %d/%d rows, %d/%d ions",
-				again.NumRows(), got.NumRows(), again.NumIons(), got.NumIons())
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted %d-byte input re-serializes to %d different bytes", len(data), buf.Len())
 		}
 	})
 }

@@ -101,7 +101,7 @@ func (p Params) capBucket() int {
 
 // Row is one indexed theoretical spectrum: a peptide variant. The field
 // order packs it into exactly 16 bytes (one quarter cache line, no
-// padding), which doubles as the on-disk v2 record layout so a
+// padding), which doubles as the on-disk SLMX record layout so a
 // memory-mapped store can serve rows zero-copy (see OpenIndexMapped).
 type Row struct {
 	Precursor float64 // neutral mass including mod deltas
@@ -114,7 +114,7 @@ type Row struct {
 // is a bitfield (not a bool) so mapped bytes are valid for every value.
 const rowFlagModified = 1 << 0
 
-// rowMemBytes is the in-memory (and v2 on-disk) size of a Row. The array
+// rowMemBytes is the in-memory (and on-disk) size of a Row. The array
 // conversion is a compile-time assertion that the struct has no padding.
 const rowMemBytes = 16
 
@@ -153,16 +153,16 @@ type Index struct {
 	// narrow precursor tolerance (see SetFullScan).
 	fullScan bool
 
-	// mapping is non-nil when rows/offsets/ids are zero-copy views into a
-	// memory-mapped store file (see OpenIndexMapped); Close releases it.
+	// mapping is non-nil when the arrays are zero-copy views of an opened
+	// SLMX image — a memory mapping or LoadFile's aligned heap copy (see
+	// viewIndex); Close releases it.
 	mapping *mmapio.Mapping
 
-	// verifyFn holds the deferred content validation of a mapped open
-	// (section CRCs, padding, shape); nil for indexes validated at build
-	// or decode time. verifyDone/verifyMu latch its one execution into
-	// verifyErr with closure-free double-checked locking, keeping the
-	// warm Verify fast path (an atomic load) legal inside //lbe:hotpath
-	// Search.
+	// verifyFn holds the deferred content validation of an opened image
+	// (section CRCs, padding, shape); nil for built indexes.
+	// verifyDone/verifyMu latch its one execution into verifyErr with
+	// closure-free double-checked locking, keeping the warm Verify fast
+	// path (an atomic load) legal inside //lbe:hotpath Search.
 	verifyFn   func() error
 	verifyMu   sync.Mutex
 	verifyDone atomic.Bool
@@ -398,10 +398,9 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 // rewrites the postings in terms of it: perm/precs are built by sorting
 // row ids on (precursor, id), every posting is remapped from row id to
 // sorted position, and each bucket's posting list is re-sorted ascending.
-// It runs once at the end of every build and when loading a pre-v3 file
-// (v3 files persist the result). The input postings may be in any order;
-// the output is deterministic — byte-identical for any build worker
-// count, and for a v2 file identical to rebuilding from its peptides.
+// It runs once at the end of every build (SLMX files persist the
+// result). The input postings may be in any order; the output is
+// deterministic — byte-identical for any build worker count.
 func (ix *Index) sortByPrecursor() {
 	n := len(ix.rows)
 	rows := ix.rows

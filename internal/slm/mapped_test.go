@@ -1,7 +1,6 @@
 package slm
 
 import (
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -39,7 +38,7 @@ func TestOpenIndexMappedMatchesHeap(t *testing.T) {
 		t.Error("heap-loaded index claims to be mapped")
 	}
 	if err := heap.Verify(); err != nil {
-		t.Errorf("heap Verify must be a no-op: %v", err)
+		t.Errorf("heap Verify must return LoadFile's clean result: %v", err)
 	}
 	// Deferred content validation of a clean file succeeds, repeatedly.
 	if err := mapped.Verify(); err != nil {
@@ -92,33 +91,6 @@ func TestOpenIndexMappedEmpty(t *testing.T) {
 	defer mapped.Close()
 	if mapped.NumRows() != 0 || mapped.NumIons() != 0 {
 		t.Errorf("empty mapped index: %d rows %d ions", mapped.NumRows(), mapped.NumIons())
-	}
-}
-
-// TestOpenIndexMappedV1FallsBack: v1 files predate the section table and
-// cannot be mapped; the open must silently fall back to the heap loader.
-func TestOpenIndexMappedV1FallsBack(t *testing.T) {
-	ix := buildTestIndex(t)
-	path := filepath.Join(t.TempDir(), "v1.slm")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeToV1(ix, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenIndexMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mapped() {
-		t.Error("v1 file must not report as mapped")
-	}
-	if got.NumRows() != ix.NumRows() {
-		t.Errorf("v1 fallback rows = %d, want %d", got.NumRows(), ix.NumRows())
 	}
 }
 

@@ -3,15 +3,16 @@ package slm
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"slices"
 	"unsafe"
 
 	"lbe/internal/mass"
+	"lbe/internal/mmapio"
 	"lbe/internal/mods"
 	"lbe/internal/spectrum"
 )
@@ -21,7 +22,7 @@ import (
 // a compact, checksummed serialization so partial indexes can be spilled
 // and reloaded.
 //
-// Version 3 layout (little-endian), written by WriteTo:
+// There is one format, version 3 (little-endian), written by WriteTo:
 //
 //	magic "SLMX" | version u32 | params block | numBuckets u32 |
 //	section table (5 × {offset u64, count u64, crc32 u32}) | header crc32 |
@@ -32,56 +33,46 @@ import (
 // data section starts at a 64-byte-aligned file offset recorded in the
 // table, holds count fixed-size records (rows are the in-memory 16-byte
 // Row layout; offsets, ids and perm are u32; precs is f64), and carries
-// its own CRC. Section offsets are canonical — derivable from the header
-// size alone — so a stream reader needs no seeking and a table naming
-// overlapping, misordered or misaligned sections is rejected outright.
-// The fixed aligned layout is what lets OpenIndexMapped back an index
-// with zero-copy views of a memory mapping.
+// its own CRC. Padding is zero and the file ends at the last section.
+// Section offsets are canonical — derivable from the header size alone —
+// so a table naming overlapping, misordered or misaligned sections is
+// rejected outright, and every accepted file is exactly the bytes
+// WriteTo would produce for the index it holds.
 //
-// v3 adds the precursor-mass order: ids postings hold mass-sorted row
-// positions (each bucket ascending), perm maps sorted position → row id,
-// and precs is the ascending precursor column the windowed scan binary
-// searches. Version 2 (the same layout with three sections — rows,
-// offsets, ids — and postings holding raw row ids) and version 1 (magic |
-// version | params | rows | offsets | ids | crc32, with u32 count
-// prefixes and a single trailing CRC) remain readable; both derive the
-// precursor order at load time (see sortByPrecursor).
+// ids postings hold mass-sorted row positions (each bucket ascending),
+// perm maps sorted position → row id, and precs is the ascending
+// precursor column the windowed scan binary searches.
 //
-// Counts come from the (not yet checksum-verified) input, so the reader
-// treats them as hostile: each is bounded by an absolute cap AND, when
-// the input's size is knowable (regular files, in-memory readers), by the
-// bytes actually present. On sized input the arrays are then allocated
-// exactly and bulk-read; on an opaque stream payloads are read in
-// fixed-size chunks so the decoder never allocates more than a small
-// multiple of the bytes it has actually consumed.
+// Every open — memory-mapped (OpenIndexMapped) or heap-read (LoadFile) —
+// runs the same parser, viewIndex, over an aligned image of the file:
+// the index's arrays are zero-copy views of those bytes. The header is
+// checked at open; section CRCs, padding and the CSR shape are checked
+// by Verify, which LoadFile runs before returning and a mapped open
+// defers to the first query. Counts come from the input, so each is
+// bounded by an absolute cap and by the bytes actually present before
+// anything depends on it; nothing is allocated in proportion to a count.
+//
+// Stores written in the retired versions 1 and 2 are refused with a
+// *StaleVersionError: an SLMX file is derived data, rebuilt from FASTA
+// with lbe-index. Big-endian hosts are refused with ErrBigEndian.
 
 const (
-	indexMagic     = "SLMX"
-	indexVersion   = 3
-	indexVersionV2 = 2
-	indexVersionV1 = 1
+	indexMagic   = "SLMX"
+	indexVersion = 3
 
-	// Wire sizes of the variable-length record types.
-	rowWireBytesV1   = 4 + 8 + 2 + 1 // v1: Peptide u32, Precursor f64, NumIons u16, Modified u8
-	rowWireBytes     = rowMemBytes   // v2+: the in-memory Row layout
-	postingWireBytes = 4
-
-	// sectionAlign is the file-offset alignment of every v2+ data section:
-	// a cache line, and a divisor of the page size, so a page-aligned
+	// sectionAlign is the file-offset alignment of every data section: a
+	// cache line, and a divisor of the page size, so a page-aligned
 	// mapping yields aligned (and cache-line-friendly) array views.
 	sectionAlign = 64
 
 	// sectionTableEntries and sectionEntryBytes fix the table shape: rows,
 	// offsets, ids, perm, precs — each {offset u64, count u64, crc32 u32}.
-	// v2 tables carry only the first three sections.
-	sectionTableEntries   = 5
-	sectionTableEntriesV2 = 3
-	sectionEntryBytes     = 8 + 8 + 4
+	sectionTableEntries = 5
+	sectionEntryBytes   = 8 + 8 + 4
 
-	// Absolute sanity caps on count fields, enforced before any
-	// allocation. They bound a single shard file at sizes far beyond the
-	// paper's full 49.45M-spectra run while keeping the worst-case
-	// allocation from a corrupt count on an unsized stream in check.
+	// Absolute sanity caps on count fields, checked before a count is
+	// used. They bound a single shard file at sizes far beyond the
+	// paper's full 49.45M-spectra run.
 	maxStringLen    = 1 << 20
 	maxModCount     = 1 << 16
 	maxSeriesCount  = 16
@@ -90,17 +81,31 @@ const (
 	maxPostingCount = 1 << 30
 )
 
+// ErrBigEndian is returned by every SLMX open and write on a big-endian
+// host: the format's arrays are served as in-memory views of the
+// little-endian file bytes.
+var ErrBigEndian = errors.New("SLMX stores need a little-endian host")
+
+// StaleVersionError reports an SLMX file written in a retired format
+// version. Such files are not migrated; rebuild the store instead.
+type StaleVersionError struct {
+	Version uint32
+}
+
+func (e *StaleVersionError) Error() string {
+	return fmt.Sprintf("SLMX version %d predates version %d, the only one this build reads; "+
+		"rebuild the store from FASTA with lbe-index -out", e.Version, indexVersion)
+}
+
 // isLittleEndian reports whether the host lays out multi-byte integers
-// the way the SLMX wire format does; when true, v2 section payloads are
-// bulk-copied (and memory-mapped) without per-element decoding.
+// the way the SLMX wire format does.
 var isLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// rowsBytes returns the raw little-endian byte view of a Row slice. Only
-// valid on little-endian hosts, where the in-memory layout is the v2
-// wire layout.
+// rowsBytes returns the raw byte view of a Row slice: on a little-endian
+// host, exactly its SLMX wire bytes.
 func rowsBytes(rows []Row) []byte {
 	if len(rows) == 0 {
 		return nil
@@ -108,8 +113,7 @@ func rowsBytes(rows []Row) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&rows[0])), rowMemBytes*len(rows))
 }
 
-// u32sBytes returns the raw little-endian byte view of a uint32 slice.
-// Only valid on little-endian hosts.
+// u32sBytes returns the raw byte view of a uint32 slice.
 func u32sBytes(vs []uint32) []byte {
 	if len(vs) == 0 {
 		return nil
@@ -117,8 +121,7 @@ func u32sBytes(vs []uint32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 4*len(vs))
 }
 
-// f64sBytes returns the raw little-endian byte view of a float64 slice.
-// Only valid on little-endian hosts.
+// f64sBytes returns the raw byte view of a float64 slice.
 func f64sBytes(vs []float64) []byte {
 	if len(vs) == 0 {
 		return nil
@@ -128,7 +131,7 @@ func f64sBytes(vs []float64) []byte {
 
 // sectionElemBytes[i] is the wire size of one element of section i:
 // rows, offsets, ids, perm, precs.
-var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, 4, 4, 8}
+var sectionElemBytes = [sectionTableEntries]int64{rowMemBytes, 4, 4, 4, 8}
 
 // countWriter counts the bytes the underlying writer actually accepted,
 // so WriteTo can report a faithful running total on mid-stream errors.
@@ -156,22 +159,9 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	cr.n += int64(n)
-	return n, err
-}
-
-// indexEncoder writes the fixed-layout wire fields with a sticky error,
-// avoiding reflection-based binary.Write in the hot per-row loop. The
-// byte layout is identical to encoding each field with binary.Write.
+// indexEncoder writes the header fields with a sticky error, without
+// reflection-based binary.Write. The byte layout is identical to
+// encoding each field with binary.Write.
 type indexEncoder struct {
 	cw  *crcWriter
 	err error
@@ -211,67 +201,6 @@ func (e *indexEncoder) str(s string) {
 	}
 }
 
-// rows encodes the row records in the 16-byte v2 layout through a
-// reusable fixed buffer; on little-endian hosts the records are the
-// in-memory bytes and are written directly.
-func (e *indexEncoder) rows(rows []Row) {
-	if isLittleEndian {
-		e.write(rowsBytes(rows))
-		return
-	}
-	var b [rowWireBytes]byte
-	le := binary.LittleEndian
-	for i := range rows {
-		if e.err != nil {
-			return
-		}
-		r := &rows[i]
-		le.PutUint64(b[0:8], math.Float64bits(r.Precursor))
-		le.PutUint32(b[8:12], r.Peptide)
-		le.PutUint16(b[12:14], r.NumIons)
-		le.PutUint16(b[14:16], r.Flags)
-		e.write(b[:])
-	}
-}
-
-// u32s encodes a uint32 slice; bulk on little-endian hosts, otherwise in
-// fixed-size chunks.
-func (e *indexEncoder) u32s(vs []uint32) {
-	if isLittleEndian {
-		e.write(u32sBytes(vs))
-		return
-	}
-	var b [4 << 10]byte
-	le := binary.LittleEndian
-	for len(vs) > 0 && e.err == nil {
-		n := min(len(vs), len(b)/4)
-		for i := 0; i < n; i++ {
-			le.PutUint32(b[4*i:], vs[i])
-		}
-		e.write(b[:4*n])
-		vs = vs[n:]
-	}
-}
-
-// f64s encodes a float64 slice; bulk on little-endian hosts, otherwise in
-// fixed-size chunks.
-func (e *indexEncoder) f64s(vs []float64) {
-	if isLittleEndian {
-		e.write(f64sBytes(vs))
-		return
-	}
-	var b [4 << 10]byte
-	le := binary.LittleEndian
-	for len(vs) > 0 && e.err == nil {
-		n := min(len(vs), len(b)/8)
-		for i := 0; i < n; i++ {
-			le.PutUint64(b[8*i:], math.Float64bits(vs[i]))
-		}
-		e.write(b[:8*n])
-		vs = vs[n:]
-	}
-}
-
 // pad writes n zero bytes.
 func (e *indexEncoder) pad(n int64) {
 	var zeros [sectionAlign]byte
@@ -282,7 +211,7 @@ func (e *indexEncoder) pad(n int64) {
 	}
 }
 
-// params encodes the params block (identical field order in v1 and v2).
+// params encodes the params block.
 func (e *indexEncoder) params(p Params) {
 	e.f64(p.Resolution)
 	e.f64(p.FragmentTol.Value)
@@ -307,9 +236,13 @@ func (e *indexEncoder) params(p Params) {
 }
 
 // checkEncodable rejects an index whose counts exceed the decoder caps,
-// so WriteTo can never persist a stream ReadIndex refuses (or, past
-// uint32, silently truncates).
+// so WriteTo can never persist a file the reader refuses (or, past
+// uint32, silently truncates), and refuses big-endian hosts, whose
+// in-memory arrays are not the wire bytes.
 func (ix *Index) checkEncodable() error {
+	if !isLittleEndian {
+		return fmt.Errorf("slm: %w", ErrBigEndian)
+	}
 	if len(ix.rows) > maxRowCount {
 		return fmt.Errorf("slm: %d rows exceed the serializable cap %d", len(ix.rows), maxRowCount)
 	}
@@ -335,8 +268,7 @@ func (ix *Index) checkEncodable() error {
 }
 
 // sectionLayout is the computed file geometry: canonical aligned section
-// offsets derived from the header size. Only the first nsecs entries of
-// offs are meaningful for a v2 file.
+// offsets derived from the header size.
 type sectionLayout struct {
 	offs [sectionTableEntries]int64
 	end  int64 // total file size
@@ -348,12 +280,12 @@ func alignUp(n int64) int64 {
 }
 
 // fileLayout derives the canonical section offsets for an index whose
-// header (magic through header CRC) spans headerLen bytes and whose first
-// nsecs sections hold counts[i] elements each.
-func fileLayout(nsecs int, headerLen int64, counts []int64) sectionLayout {
+// header (magic through header CRC) spans headerLen bytes and whose
+// sections hold counts[i] elements each.
+func fileLayout(headerLen int64, counts [sectionTableEntries]int64) sectionLayout {
 	var l sectionLayout
 	off := headerLen
-	for i := 0; i < nsecs; i++ {
+	for i := range counts {
 		off = alignUp(off)
 		l.offs[i] = off
 		off += sectionElemBytes[i] * counts[i]
@@ -372,51 +304,10 @@ func paramsBlockLen(p Params) int64 {
 	return n
 }
 
-// sectionCRC computes the CRC an encoder pass produces for one section's
-// payload without retaining it: the section is streamed into a discard
-// writer through the same encoder used for the real write.
-func sectionCRC(fill func(e *indexEncoder)) (uint32, error) {
-	cw := &crcWriter{w: io.Discard}
-	e := &indexEncoder{cw: cw}
-	fill(e)
-	return cw.crc, e.err
-}
-
-// legacyIDs reconstructs the v2 postings array: raw row ids, each
-// bucket's list ascending — the exact bytes the v2 encoder produced for
-// the same build, so a v2 round trip is lossless.
-func (ix *Index) legacyIDs() []uint32 {
-	ids := make([]uint32, len(ix.ids))
-	for i, srid := range ix.ids {
-		ids[i] = ix.perm[srid]
-	}
-	for b := 0; b < ix.numBuckets; b++ {
-		slices.Sort(ids[ix.offsets[b]:ix.offsets[b+1]])
-	}
-	return ids
-}
-
-// WriteTo serializes the index in the v3 section-table format. It
-// implements io.WriterTo: on error it returns the number of bytes the
-// underlying writer actually accepted before the failure, not zero.
+// WriteTo serializes the index in the SLMX format. It implements
+// io.WriterTo: on error it returns the number of bytes the underlying
+// writer actually accepted before the failure, not zero.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	return ix.writeTo(w, indexVersion)
-}
-
-// WriteToVersion serializes the index in an older SLMX format version so
-// compatibility fixtures and downgrade tooling can produce stores older
-// readers accept: version 2 emits the three-section layout with postings
-// holding raw row ids (re-reading it derives the identical precursor
-// order back); version 3 is WriteTo.
-func (ix *Index) WriteToVersion(w io.Writer, version uint32) (int64, error) {
-	if version != indexVersion && version != indexVersionV2 {
-		return 0, fmt.Errorf("slm: cannot write index version %d (want %d or %d)",
-			version, indexVersion, indexVersionV2)
-	}
-	return ix.writeTo(w, version)
-}
-
-func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	// A mapped index defers content validation; run it before
 	// re-encoding, or a corrupt mapping would be rewritten under fresh
 	// CRCs that bless the corruption.
@@ -426,38 +317,20 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	if err := ix.checkEncodable(); err != nil {
 		return 0, err
 	}
-	nsecs := sectionTableEntries
-	ids := ix.ids
-	if version == indexVersionV2 {
-		nsecs = sectionTableEntriesV2
-		ids = ix.legacyIDs()
+	sections := [sectionTableEntries][]byte{
+		rowsBytes(ix.rows), u32sBytes(ix.offsets), u32sBytes(ix.ids),
+		u32sBytes(ix.perm), f64sBytes(ix.precs),
 	}
-	fills := [sectionTableEntries]func(e *indexEncoder){
-		func(e *indexEncoder) { e.rows(ix.rows) },
-		func(e *indexEncoder) { e.u32s(ix.offsets) },
-		func(e *indexEncoder) { e.u32s(ids) },
-		func(e *indexEncoder) { e.u32s(ix.perm) },
-		func(e *indexEncoder) { e.f64s(ix.precs) },
-	}
-	counts := [sectionTableEntries]int64{
-		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ids)),
-		int64(len(ix.perm)), int64(len(ix.precs)),
+	var counts [sectionTableEntries]int64
+	var crcs [sectionTableEntries]uint32
+	for i, sec := range sections {
+		counts[i] = int64(len(sec)) / sectionElemBytes[i]
+		crcs[i] = crc32.ChecksumIEEE(sec)
 	}
 	headerLen := int64(len(indexMagic)) + 4 + paramsBlockLen(ix.params) + 4 +
-		int64(nsecs)*sectionEntryBytes + 4
-	layout := fileLayout(nsecs, headerLen, counts[:nsecs])
+		sectionTableEntries*sectionEntryBytes + 4
+	layout := fileLayout(headerLen, counts)
 
-	// Pass 1: per-section CRCs (streamed, nothing buffered).
-	var crcs [sectionTableEntries]uint32
-	for i := 0; i < nsecs; i++ {
-		crc, err := sectionCRC(fills[i])
-		if err != nil {
-			return 0, err
-		}
-		crcs[i] = crc
-	}
-
-	// Pass 2: the actual write.
 	bot := &countWriter{w: w}
 	bw := bufio.NewWriter(bot)
 	if _, err := bw.WriteString(indexMagic); err != nil {
@@ -467,10 +340,10 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	cw := &crcWriter{w: bw}
 	e := &indexEncoder{cw: cw}
 
-	e.u32(version)
+	e.u32(indexVersion)
 	e.params(ix.params)
 	e.u32(uint32(ix.numBuckets))
-	for i := 0; i < nsecs; i++ {
+	for i := range sections {
 		e.u64(uint64(layout.offs[i]))
 		e.u64(uint64(counts[i]))
 		e.u32(crcs[i])
@@ -478,9 +351,9 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	e.u32(cw.crc) // header CRC: covers version..section table
 
 	pos := func() int64 { return int64(len(indexMagic)) + cw.n }
-	for i := 0; i < nsecs; i++ {
+	for i, sec := range sections {
 		e.pad(layout.offs[i] - pos())
-		fills[i](e)
+		e.write(sec)
 	}
 	if e.err != nil {
 		bw.Flush()
@@ -495,356 +368,200 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	return bot.n, nil
 }
 
-// inputSize reports how many unread bytes r holds when that is knowable —
-// regular files and in-memory readers (bytes.Reader, bytes.Buffer,
-// strings.Reader) — or -1 for opaque streams.
-func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case *os.File:
-		fi, err := v.Stat()
-		if err != nil || !fi.Mode().IsRegular() {
-			return -1
-		}
-		cur, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return -1
-		}
-		if rem := fi.Size() - cur; rem >= 0 {
-			return rem
-		}
-		return 0
-	case interface{ Len() int }:
-		return int64(v.Len())
-	}
-	return -1
+// headerReader walks an SLMX header in place. Its first failure — a
+// read past the end of the input or an implausible count — is sticky,
+// so a parse checks err once instead of after every field.
+type headerReader struct {
+	data []byte
+	off  int
+	err  error
 }
 
-// indexDecoder reads the wire fields, treating every length prefix as
-// untrusted until a CRC verifies.
-type indexDecoder struct {
-	cr *crcReader
-	// payload is the decoder's byte budget — the input size minus the
-	// magic (and, for v1, the trailing checksum) — or -1 when the size is
-	// unknown.
-	payload int64
+// next returns the following n bytes, or nil once the input is
+// exhausted.
+func (r *headerReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.data)-r.off {
+		r.err = fmt.Errorf("header truncated: %d bytes needed at offset %d of %d", n, r.off, len(r.data))
+		return nil
+	}
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b
 }
 
-// remaining returns the unread payload budget, or -1 when unknown.
-func (d *indexDecoder) remaining() int64 {
-	if d.payload < 0 {
-		return -1
-	}
-	if rem := d.payload - d.cr.n; rem > 0 {
-		return rem
+func (r *headerReader) u8() uint8 {
+	if b := r.next(1); b != nil {
+		return b[0]
 	}
 	return 0
 }
 
-// sized reports whether the input size is known, enabling the bulk fast
-// path: exact-size allocation and a single large read per array, instead
-// of the chunked defensive copies the hostile-stream path uses.
-func (d *indexDecoder) sized() bool { return d.payload >= 0 }
-
-// checkCount validates a decoded length field before anything is
-// allocated for it: n elements of elem wire bytes each must fit under the
-// absolute cap and, when the input size is known, in the bytes present.
-func (d *indexDecoder) checkCount(n uint64, elem int64, limit uint64, what string) error {
-	if n > limit {
-		return fmt.Errorf("slm: %s count %d implausible (cap %d)", what, n, limit)
+func (r *headerReader) u32() uint32 {
+	if b := r.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	if rem := d.remaining(); rem >= 0 && int64(n) > rem/elem {
-		return fmt.Errorf("slm: %s count %d needs %d bytes but only %d remain (truncated or corrupt)",
+	return 0
+}
+
+func (r *headerReader) u64() uint64 {
+	if b := r.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *headerReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *headerReader) str() string {
+	n := r.u32()
+	r.checkCount(uint64(n), 1, maxStringLen, "string byte")
+	return string(r.next(int(n)))
+}
+
+// checkCount validates a count field before it is used: n elements of
+// elem bytes each must fit under the absolute cap and in the input bytes
+// not yet read.
+func (r *headerReader) checkCount(n uint64, elem int64, limit uint64, what string) {
+	if r.err != nil {
+		return
+	}
+	if n > limit {
+		r.err = fmt.Errorf("%s count %d implausible (cap %d)", what, n, limit)
+		return
+	}
+	if rem := int64(len(r.data) - r.off); int64(n) > rem/elem {
+		r.err = fmt.Errorf("%s count %d needs %d bytes but only %d remain (truncated or corrupt)",
 			what, n, int64(n)*elem, rem)
 	}
-	return nil
 }
 
-func (d *indexDecoder) full(b []byte) error {
-	_, err := io.ReadFull(d.cr, b)
-	return err
-}
-
-func (d *indexDecoder) u8() (uint8, error) {
-	var b [1]byte
-	err := d.full(b[:])
-	return b[0], err
-}
-
-func (d *indexDecoder) u32() (uint32, error) {
-	var b [4]byte
-	err := d.full(b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-func (d *indexDecoder) u64() (uint64, error) {
-	var b [8]byte
-	err := d.full(b[:])
-	return binary.LittleEndian.Uint64(b[:]), err
-}
-
-func (d *indexDecoder) f64() (float64, error) {
-	var b [8]byte
-	err := d.full(b[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), err
-}
-
-func (d *indexDecoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
+// readParams decodes the params block.
+func (r *headerReader) readParams(p *Params) {
+	p.Resolution = r.f64()
+	p.FragmentTol.Value = r.f64()
+	p.FragmentTol.Unit = mass.ToleranceUnit(r.u8())
+	p.PrecursorTol.Value = r.f64()
+	p.PrecursorTol.Unit = mass.ToleranceUnit(r.u8())
+	p.MinSharedPeaks = int(r.u32())
+	p.MaxQueryPeaks = int(r.u32())
+	p.MaxFragmentMZ = r.f64()
+	p.Mods.MaxPerPep = int(r.u32())
+	p.Mods.MaxVariant = int(r.u32())
+	nmods := r.u32()
+	nseries := r.u32()
+	r.checkCount(uint64(nmods), 16, maxModCount, "mod")
+	r.checkCount(uint64(nseries), 1, maxSeriesCount, "ion series")
+	for i := uint32(0); i < nseries && r.err == nil; i++ {
+		p.IonSeries = append(p.IonSeries, spectrum.IonKind(r.u8()))
 	}
-	if err := d.checkCount(uint64(n), 1, maxStringLen, "string byte"); err != nil {
-		return "", err
-	}
-	// Same chunked discipline as u32s: on an unsized stream, a forged
-	// length only grows the buffer as bytes actually arrive.
-	const chunk = 4096
-	var tmp [chunk]byte
-	b := make([]byte, 0, min(int(n), chunk))
-	for len(b) < int(n) {
-		take := min(int(n)-len(b), chunk)
-		if err := d.full(tmp[:take]); err != nil {
-			return "", err
-		}
-		b = append(b, tmp[:take]...)
-	}
-	return string(b), nil
-}
-
-// discardZero consumes n bytes of v2 section padding, requiring every
-// byte to be zero: padding is the one region no section CRC covers, so
-// this check keeps "any flipped byte is detected" true for the whole
-// file.
-func (d *indexDecoder) discardZero(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("slm: corrupt section layout")
-	}
-	var b [sectionAlign]byte
-	for n > 0 {
-		take := min(n, int64(len(b)))
-		if err := d.full(b[:take]); err != nil {
-			return err
-		}
-		for _, v := range b[:take] {
-			if v != 0 {
-				return fmt.Errorf("slm: nonzero section padding")
-			}
-		}
-		n -= take
-	}
-	return nil
-}
-
-// u32s reads n little-endian uint32s. On sized input the output is
-// allocated exactly and filled with one bulk read (zero per-element
-// decoding on little-endian hosts); on an opaque stream it is read in
-// fixed-size chunks, growing as bytes actually arrive, so a corrupt
-// count stalls at the first short read instead of provoking one huge
-// upfront allocation.
-func (d *indexDecoder) u32s(n int) ([]uint32, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]uint32, n)
-		if err := d.full(u32sBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkElems = (16 << 10) / 4
-	var b [16 << 10]byte
-	le := binary.LittleEndian
-	out := make([]uint32, 0, min(n, chunkElems))
-	for len(out) < n {
-		take := min(n-len(out), chunkElems)
-		if err := d.full(b[:4*take]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, le.Uint32(b[4*i:]))
-		}
-	}
-	return out, nil
-}
-
-// f64s reads n little-endian float64s under the same allocation
-// discipline as u32s: bulk on sized input, chunked on opaque streams.
-func (d *indexDecoder) f64s(n int) ([]float64, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]float64, n)
-		if err := d.full(f64sBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkElems = (16 << 10) / 8
-	var b [16 << 10]byte
-	le := binary.LittleEndian
-	out := make([]float64, 0, min(n, chunkElems))
-	for len(out) < n {
-		take := min(n-len(out), chunkElems)
-		if err := d.full(b[:8*take]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, math.Float64frombits(le.Uint64(b[8*i:])))
-		}
-	}
-	return out, nil
-}
-
-// rowRecordsV1 reads n v1 15-byte row records. Sized input is decoded
-// into an exactly-sized slice; opaque streams keep the chunked
-// allocation discipline.
-func (d *indexDecoder) rowRecordsV1(n int) ([]Row, error) {
-	const chunkRows = 1024
-	var b [chunkRows * rowWireBytesV1]byte
-	le := binary.LittleEndian
-	decode := func(rec []byte) Row {
-		var flags uint16
-		if rec[14] != 0 {
-			flags |= rowFlagModified
-		}
-		return Row{
-			Peptide:   le.Uint32(rec[0:4]),
-			Precursor: math.Float64frombits(le.Uint64(rec[4:12])),
-			NumIons:   le.Uint16(rec[12:14]),
-			Flags:     flags,
-		}
-	}
-	if d.sized() {
-		out := make([]Row, n)
-		for done := 0; done < n; {
-			take := min(n-done, chunkRows)
-			if err := d.full(b[:take*rowWireBytesV1]); err != nil {
-				return nil, err
-			}
-			for i := 0; i < take; i++ {
-				out[done+i] = decode(b[i*rowWireBytesV1:])
-			}
-			done += take
-		}
-		return out, nil
-	}
-	out := make([]Row, 0, min(n, chunkRows))
-	for len(out) < n {
-		take := min(n-len(out), chunkRows)
-		if err := d.full(b[:take*rowWireBytesV1]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, decode(b[i*rowWireBytesV1:]))
-		}
-	}
-	return out, nil
-}
-
-// rowRecords reads n v2 16-byte row records. On sized little-endian
-// input the records are bulk-read straight into the Row array.
-func (d *indexDecoder) rowRecords(n int) ([]Row, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]Row, n)
-		if err := d.full(rowsBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkRows = 1024
-	var b [chunkRows * rowWireBytes]byte
-	le := binary.LittleEndian
-	out := make([]Row, 0, min(n, chunkRows))
-	for len(out) < n {
-		take := min(n-len(out), chunkRows)
-		if err := d.full(b[:take*rowWireBytes]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			rec := b[i*rowWireBytes:]
-			out = append(out, Row{
-				Precursor: math.Float64frombits(le.Uint64(rec[0:8])),
-				Peptide:   le.Uint32(rec[8:12]),
-				NumIons:   le.Uint16(rec[12:14]),
-				Flags:     le.Uint16(rec[14:16]),
-			})
-		}
-	}
-	return out, nil
-}
-
-// readParams decodes the params block (shared by v1 and v2).
-func (d *indexDecoder) readParams(p *Params) error {
-	var fail error
-	get := func(dst *float64) {
-		if fail == nil {
-			*dst, fail = d.f64()
-		}
-	}
-	getU32 := func() uint32 {
-		var v uint32
-		if fail == nil {
-			v, fail = d.u32()
-		}
-		return v
-	}
-	getU8 := func() uint8 {
-		var v uint8
-		if fail == nil {
-			v, fail = d.u8()
-		}
-		return v
-	}
-
-	get(&p.Resolution)
-	get(&p.FragmentTol.Value)
-	p.FragmentTol.Unit = mass.ToleranceUnit(getU8())
-	get(&p.PrecursorTol.Value)
-	p.PrecursorTol.Unit = mass.ToleranceUnit(getU8())
-	p.MinSharedPeaks = int(getU32())
-	p.MaxQueryPeaks = int(getU32())
-	get(&p.MaxFragmentMZ)
-	p.Mods.MaxPerPep = int(getU32())
-	p.Mods.MaxVariant = int(getU32())
-	nmods := getU32()
-	nseries := getU32()
-	if fail != nil {
-		return fail
-	}
-	if err := d.checkCount(uint64(nmods), 16, maxModCount, "mod"); err != nil {
-		return err
-	}
-	if err := d.checkCount(uint64(nseries), 1, maxSeriesCount, "ion series"); err != nil {
-		return err
-	}
-	for i := uint32(0); i < nseries; i++ {
-		k, err := d.u8()
-		if err != nil {
-			return err
-		}
-		p.IonSeries = append(p.IonSeries, spectrum.IonKind(k))
-	}
-	for i := uint32(0); i < nmods; i++ {
+	for i := uint32(0); i < nmods && r.err == nil; i++ {
 		var m mods.Mod
-		var err error
-		if m.Name, err = d.str(); err != nil {
-			return err
-		}
-		if m.Residues, err = d.str(); err != nil {
-			return err
-		}
-		if m.Delta, err = d.f64(); err != nil {
-			return err
-		}
+		m.Name = r.str()
+		m.Residues = r.str()
+		m.Delta = r.f64()
 		p.Mods.Mods = append(p.Mods.Mods, m)
 	}
-	return nil
 }
 
-// validateShape runs the cross-array sanity checks shared by every
-// decode path: monotone offsets ending at the posting count, in-range
-// postings, sane row precursors — and, when the precursor-order columns
-// are present (v3 files; derived columns are correct by construction),
-// their own invariants: perm a true permutation, precs ascending and
-// agreeing with the rows, every bucket's posting list sorted. The
-// windowed scan trusts all of these, so a corrupt file claiming them
-// must be rejected here rather than silently dropping matches.
+// sectionEntry is one decoded section-table record.
+type sectionEntry struct {
+	off   uint64
+	count uint64
+	crc   uint32
+}
+
+// fileHeader is the decoded header: everything before the first data
+// section.
+type fileHeader struct {
+	params     Params
+	numBuckets uint32
+	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids, perm, precs
+	headerLen  int64                             // magic through header CRC
+}
+
+// readHeader decodes and validates the header of the SLMX image data:
+// magic and version, then the header CRC, then the section table against
+// the canonical layout — ordered, 64-byte aligned, non-overlapping
+// offsets derived from the header size, counts under the absolute caps
+// and the input size, perm and precs holding one entry per row, and the
+// image ending exactly at the last section. All of this is O(header):
+// no section byte is touched, so a mapped open stays cheap.
+func readHeader(data []byte) (*fileHeader, error) {
+	if len(data) < len(indexMagic)+4 {
+		return nil, fmt.Errorf("input of %d bytes is too short for an index", len(data))
+	}
+	if string(data[:len(indexMagic)]) != indexMagic {
+		return nil, fmt.Errorf("bad magic %q", data[:len(indexMagic)])
+	}
+	r := &headerReader{data: data, off: len(indexMagic)}
+	switch version := r.u32(); version {
+	case indexVersion:
+	case 1, 2:
+		return nil, &StaleVersionError{Version: version}
+	default:
+		return nil, fmt.Errorf("unsupported index version %d (want %d)", version, indexVersion)
+	}
+	h := &fileHeader{}
+	r.readParams(&h.params)
+	h.numBuckets = r.u32()
+	for i := range h.secs {
+		s := &h.secs[i]
+		s.off = r.u64()
+		s.count = r.u64()
+		s.crc = r.u32()
+	}
+	crcEnd := r.off
+	got := r.u32()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if want := crc32.ChecksumIEEE(data[len(indexMagic):crcEnd]); got != want {
+		return nil, fmt.Errorf("header checksum mismatch: file %08x, computed %08x", got, want)
+	}
+	h.headerLen = int64(r.off)
+
+	rows, offs, ids, perm, precs := h.secs[0], h.secs[1], h.secs[2], h.secs[3], h.secs[4]
+	r.checkCount(rows.count, rowMemBytes, maxRowCount, "row")
+	r.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket")
+	if offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
+		return nil, fmt.Errorf("offsets length %d does not match %d buckets", offs.count, h.numBuckets)
+	}
+	r.checkCount(offs.count, 4, maxBucketCount+1, "offset")
+	r.checkCount(ids.count, 4, maxPostingCount, "posting")
+	if perm.count != rows.count || precs.count != rows.count {
+		return nil, fmt.Errorf("precursor-order sections of %d/%d entries do not match %d rows",
+			perm.count, precs.count, rows.count)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	var counts [sectionTableEntries]int64
+	for i, s := range h.secs {
+		counts[i] = int64(s.count)
+	}
+	layout := fileLayout(h.headerLen, counts)
+	for i, s := range h.secs {
+		if int64(s.off) != layout.offs[i] {
+			return nil, fmt.Errorf("section %d at offset %d, canonical layout says %d (overlapping, misordered or misaligned sections)",
+				i, s.off, layout.offs[i])
+		}
+	}
+	if size := int64(len(data)); layout.end != size {
+		return nil, fmt.Errorf("sections end at byte %d but the input holds %d (truncated, extended or corrupt)",
+			layout.end, size)
+	}
+	return h, nil
+}
+
+// validateShape runs the cross-array sanity checks of Verify: monotone
+// offsets ending at the posting count, in-range postings, sane row
+// precursors, perm a true permutation, precs ascending and agreeing with
+// the rows, every bucket's posting list sorted. The windowed scan trusts
+// all of these, so a corrupt file claiming them must be rejected here
+// rather than silently dropping matches.
 func (ix *Index) validateShape() error {
 	for i := 1; i < len(ix.offsets); i++ {
 		if ix.offsets[i] < ix.offsets[i-1] {
@@ -863,9 +580,6 @@ func (ix *Index) validateShape() error {
 		if math.IsNaN(r.Precursor) || r.Precursor < 0 {
 			return fmt.Errorf("slm: corrupt row precursor")
 		}
-	}
-	if ix.perm == nil && ix.precs == nil {
-		return nil // pre-v3 decode: the columns are derived after this check
 	}
 	if len(ix.perm) != len(ix.rows) || len(ix.precs) != len(ix.rows) {
 		return fmt.Errorf("slm: precursor-order columns of %d/%d entries do not match %d rows",
@@ -896,316 +610,6 @@ func (ix *Index) validateShape() error {
 	return nil
 }
 
-// sectionEntry is one decoded section-table record.
-type sectionEntry struct {
-	off   uint64
-	count uint64
-	crc   uint32
-}
-
-// fileHeader is the decoded v2/v3 header: everything before the first
-// data section.
-type fileHeader struct {
-	version    uint32
-	params     Params
-	numBuckets uint32
-	secs       []sectionEntry // rows, offsets, ids[, perm, precs]
-	headerLen  int64          // magic through header CRC
-}
-
-// readHeader decodes and validates a v2 or v3 header from d, which must
-// be positioned just after the version field. The header CRC is verified
-// and the section table checked against the canonical layout: ordered,
-// 64-byte aligned, non-overlapping offsets derived from the header size,
-// with counts under the absolute caps (and the input size when known).
-// For v3, the perm and precs sections must hold exactly one entry per
-// row. All of this is O(header) — no section byte is touched — so a
-// mapped open stays cheap.
-func readHeader(d *indexDecoder, version uint32) (*fileHeader, error) {
-	nsecs := sectionTableEntries
-	if version == indexVersionV2 {
-		nsecs = sectionTableEntriesV2
-	}
-	h := &fileHeader{version: version, secs: make([]sectionEntry, nsecs)}
-	if err := d.readParams(&h.params); err != nil {
-		return nil, err
-	}
-	var fail error
-	if h.numBuckets, fail = d.u32(); fail != nil {
-		return nil, fail
-	}
-	for i := range h.secs {
-		s := &h.secs[i]
-		if s.off, fail = d.u64(); fail != nil {
-			return nil, fail
-		}
-		if s.count, fail = d.u64(); fail != nil {
-			return nil, fail
-		}
-		if s.crc, fail = d.u32(); fail != nil {
-			return nil, fail
-		}
-	}
-	want := d.cr.crc
-	got, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf("slm: header checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	h.headerLen = int64(len(indexMagic)) + d.cr.n
-
-	rows, offs, ids := h.secs[0], h.secs[1], h.secs[2]
-	if err := d.checkCount(rows.count, rowWireBytes, maxRowCount, "row"); err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket"); err != nil {
-		return nil, err
-	}
-	if offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
-		return nil, fmt.Errorf("slm: offsets length %d does not match %d buckets", offs.count, h.numBuckets)
-	}
-	if err := d.checkCount(offs.count, 4, maxBucketCount+1, "offset"); err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting"); err != nil {
-		return nil, err
-	}
-	if nsecs > sectionTableEntriesV2 {
-		perm, precs := h.secs[3], h.secs[4]
-		if perm.count != rows.count || precs.count != rows.count {
-			return nil, fmt.Errorf("slm: precursor-order sections of %d/%d entries do not match %d rows",
-				perm.count, precs.count, rows.count)
-		}
-		if err := d.checkCount(perm.count, 4, maxRowCount, "perm"); err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(precs.count, 8, maxRowCount, "precursor"); err != nil {
-			return nil, err
-		}
-	}
-	counts := make([]int64, nsecs)
-	for i, s := range h.secs {
-		counts[i] = int64(s.count)
-	}
-	layout := fileLayout(nsecs, h.headerLen, counts)
-	for i, s := range h.secs {
-		if int64(s.off) != layout.offs[i] {
-			return nil, fmt.Errorf("slm: section %d at offset %d, canonical layout says %d (overlapping, misordered or misaligned sections)",
-				i, s.off, layout.offs[i])
-		}
-	}
-	if rem := d.remaining(); rem >= 0 && layout.end-h.headerLen > rem {
-		return nil, fmt.Errorf("slm: sections need %d bytes but only %d remain (truncated or corrupt)",
-			layout.end-h.headerLen, rem)
-	}
-	return h, nil
-}
-
-// readIndexBody decodes a v2 or v3 body from a stream already past the
-// version field: header, then each aligned section in file order with its
-// CRC verified as it streams by. A v2 body derives the precursor-order
-// columns after validation, so the returned index always serves the
-// windowed scan.
-func readIndexBody(d *indexDecoder, version uint32) (*Index, error) {
-	h, err := readHeader(d, version)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{params: h.params, numBuckets: int(h.numBuckets)}
-
-	pos := func() int64 { return int64(len(indexMagic)) + d.cr.n }
-
-	// Sections stream in file order. Each one's CRC must cover exactly
-	// its payload bytes, so the typed readers run through a dedicated
-	// section-scoped checksum reader that is reset at each section start.
-	sec := &crcReader{r: d.cr}
-	sd := &indexDecoder{cr: sec, payload: -1}
-	nextSection := func(entry sectionEntry) error {
-		if err := d.discardZero(int64(entry.off) - pos()); err != nil {
-			return err
-		}
-		sec.crc = 0
-		if d.sized() {
-			sd.payload = sec.n + d.remaining()
-		}
-		return nil
-	}
-	checkSection := func(entry sectionEntry, what string) error {
-		if sec.crc != entry.crc {
-			return fmt.Errorf("slm: %s section checksum mismatch: file %08x, computed %08x", what, entry.crc, sec.crc)
-		}
-		return nil
-	}
-	section := func(i int, what string, read func(count int) error) error {
-		if err := nextSection(h.secs[i]); err != nil {
-			return err
-		}
-		if err := read(int(h.secs[i].count)); err != nil {
-			return err
-		}
-		return checkSection(h.secs[i], what)
-	}
-
-	if err := section(0, "rows", func(n int) (err error) {
-		ix.rows, err = sd.rowRecords(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if err := section(1, "offsets", func(n int) (err error) {
-		ix.offsets, err = sd.u32s(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if err := section(2, "ids", func(n int) (err error) {
-		ix.ids, err = sd.u32s(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if version >= indexVersion {
-		if err := section(3, "perm", func(n int) (err error) {
-			ix.perm, err = sd.u32s(n)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		if err := section(4, "precs", func(n int) (err error) {
-			ix.precs, err = sd.f64s(n)
-			return
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := ix.validateShape(); err != nil {
-		return nil, err
-	}
-	if version < indexVersion {
-		ix.sortByPrecursor()
-	}
-	ix.buildPeak = ix.MemoryBytes()
-	return ix, nil
-}
-
-// readIndexV1 decodes the legacy v1 body (count-prefixed arrays, single
-// trailing CRC) from a stream already past the version field.
-func readIndexV1(d *indexDecoder, br io.Reader) (*Index, error) {
-	ix := &Index{}
-	if err := d.readParams(&ix.params); err != nil {
-		return nil, err
-	}
-
-	nrows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(nrows), rowWireBytesV1, maxRowCount, "row"); err != nil {
-		return nil, err
-	}
-	if ix.rows, err = d.rowRecordsV1(int(nrows)); err != nil {
-		return nil, err
-	}
-
-	numBuckets, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	noffsets, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(numBuckets), 4, maxBucketCount, "bucket"); err != nil {
-		return nil, err
-	}
-	if noffsets != numBuckets+1 && !(numBuckets == 0 && noffsets <= 1) {
-		return nil, fmt.Errorf("slm: offsets length %d does not match %d buckets", noffsets, numBuckets)
-	}
-	if err := d.checkCount(uint64(noffsets), 4, maxBucketCount+1, "offset"); err != nil {
-		return nil, err
-	}
-	ix.numBuckets = int(numBuckets)
-	if ix.offsets, err = d.u32s(int(noffsets)); err != nil {
-		return nil, err
-	}
-	nids, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(nids), postingWireBytes, maxPostingCount, "posting"); err != nil {
-		return nil, err
-	}
-	if ix.ids, err = d.u32s(int(nids)); err != nil {
-		return nil, err
-	}
-
-	want := d.cr.crc
-	var gotb [4]byte
-	if _, err := io.ReadFull(br, gotb[:]); err != nil {
-		return nil, fmt.Errorf("slm: reading checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(gotb[:]); got != want {
-		return nil, fmt.Errorf("slm: checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	if err := ix.validateShape(); err != nil {
-		return nil, err
-	}
-	ix.sortByPrecursor()
-	ix.buildPeak = ix.MemoryBytes()
-	return ix, nil
-}
-
-// ReadIndex deserializes an index written by WriteTo (v3), by a v2
-// writer, or by the v1 writer, verifying checksums and the format
-// version. Pre-v3 inputs derive the precursor-mass order at load time,
-// so every returned index serves the windowed scan. Length fields are
-// bounded against both absolute caps and (when r's size is knowable) the
-// input size, so a truncated or corrupted file can never force an
-// allocation larger than a small multiple of the bytes actually present.
-// Sized, trusted input (regular files, in-memory readers) additionally
-// takes a bulk fast path: arrays are allocated exactly once and filled
-// with single large reads instead of chunked defensive copies.
-func ReadIndex(r io.Reader) (*Index, error) {
-	size := inputSize(r) // before bufio wraps r and reads ahead
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("slm: reading magic: %w", err)
-	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("slm: bad magic %q", magic)
-	}
-	d := &indexDecoder{cr: &crcReader{r: br}, payload: -1}
-
-	version, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case indexVersion, indexVersionV2:
-		if size >= 0 {
-			d.payload = size - int64(len(indexMagic))
-		}
-		return readIndexBody(d, version)
-	case indexVersionV1:
-		if size >= 0 {
-			// Budget for the CRC-covered payload: total minus magic and
-			// the trailing checksum.
-			if size < int64(len(indexMagic))+4 {
-				return nil, fmt.Errorf("slm: input of %d bytes is too short for an index", size)
-			}
-			d.payload = size - int64(len(indexMagic)) - 4
-		}
-		return readIndexV1(d, br)
-	default:
-		return nil, fmt.Errorf("slm: unsupported index version %d (want %d, %d or %d)",
-			version, indexVersion, indexVersionV2, indexVersionV1)
-	}
-}
-
 // SaveFile writes the index to the named file.
 func (ix *Index) SaveFile(path string) error {
 	f, err := os.Create(path)
@@ -1219,12 +623,23 @@ func (ix *Index) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadFile reads an index from the named file.
+// LoadFile reads an index from the named file into the heap: the file is
+// read into one aligned buffer, the index's arrays are views of it, and
+// the whole image is verified before LoadFile returns. It is
+// OpenIndexMapped with a heap copy instead of a mapping and Verify run
+// eagerly; the two accept and reject exactly the same files.
 func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	m, err := mmapio.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadIndex(f)
+	ix, err := viewIndex(m, path)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.Verify(); err != nil {
+		ix.Close()
+		return nil, err
+	}
+	return ix, nil
 }

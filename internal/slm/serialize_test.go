@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"lbe/internal/mass"
@@ -37,7 +38,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadIndex(&buf)
+	got, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSerializeEmptyIndex(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +109,11 @@ func TestSerializeDetectsCorruption(t *testing.T) {
 	// Flip one byte in the middle of the payload.
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xFF
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("corrupted index must fail the checksum")
-	}
+	mustReject(t, "flipped payload byte", data)
 }
 
 func TestSerializeRejectsBadMagicAndVersion(t *testing.T) {
-	if _, err := ReadIndex(bytes.NewReader([]byte("NOPE1234"))); err == nil {
-		t.Error("bad magic must fail")
-	}
+	mustReject(t, "bad magic", []byte("NOPE1234"))
 	ix := buildTestIndex(t)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -124,8 +121,41 @@ func TestSerializeRejectsBadMagicAndVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[4] = 99 // version field
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("future version must fail")
+	mustReject(t, "future version", data)
+}
+
+// TestOpenRejectsPreV3 pins the one-format rule: a file claiming a
+// retired SLMX version — here a valid v3 image with its version field
+// patched and the header CRC re-fixed, so the version is the only fault
+// — is refused by both open modes with a *StaleVersionError whose
+// message names the version and the rebuild command.
+func TestOpenRejectsPreV3(t *testing.T) {
+	ix := buildTestIndex(t)
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, crcOff, _ := headerOffsets(ix)
+	for _, version := range []uint32{1, 2} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(data[len(indexMagic):], version)
+		refixHeaderCRC(data, crcOff)
+		path := filepath.Join(t.TempDir(), "old.slm")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, heapErr := LoadFile(path)
+		_, mapErr := OpenIndexMapped(path)
+		for mode, err := range map[string]error{"LoadFile": heapErr, "OpenIndexMapped": mapErr} {
+			var stale *StaleVersionError
+			if !errors.As(err, &stale) || stale.Version != version {
+				t.Fatalf("v%d %s: want *StaleVersionError, got %v", version, mode, err)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, fmt.Sprintf("version %d", version)) || !strings.Contains(msg, "lbe-index -out") {
+				t.Errorf("v%d %s: error %q must name the version and the rebuild command", version, mode, msg)
+			}
+		}
 	}
 }
 
@@ -136,18 +166,14 @@ func TestSerializeTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, cut := range []int{3, 10, len(data) / 2, len(data) - 1} {
-		if _, err := ReadIndex(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("truncation at %d must fail", cut)
-		}
+	for _, cut := range []int{0, 3, 10, len(data) / 2, len(data) - 1} {
+		mustReject(t, fmt.Sprintf("truncation at %d", cut), data[:cut])
 	}
+	mustReject(t, "trailing bytes", append(append([]byte(nil), data...), 0))
 }
 
 // buildPlainIndex builds an index with no mods and no explicit ion
-// series, giving the serialized stream a fixed header layout:
-//
-//	magic 4 | version 4 | params 54 | nseries 4 | nrows 4 | rows ... |
-//	numBuckets 4 | noffsets 4 | offsets ... | nids 4 | ids ... | crc 4
+// series, giving the serialized header its smallest fixed layout.
 func buildPlainIndex(t *testing.T) *Index {
 	t.Helper()
 	params := DefaultParams()
@@ -159,19 +185,23 @@ func buildPlainIndex(t *testing.T) *Index {
 	return ix
 }
 
-// opaqueReader hides Len/Seek so ReadIndex cannot learn the input size
-// and must rely on chunked allocation alone.
-type opaqueReader struct{ r io.Reader }
+// loadBytes writes an SLMX image to a temporary file and opens it with
+// LoadFile, the heap open every round trip in these tests goes through.
+func loadBytes(t *testing.T, data []byte) (*Index, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "image.slm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadFile(path)
+}
 
-func (o opaqueReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
-// headerOffsets computes the fixed header geometry for ix's stream with
-// nsecs section-table entries (sectionTableEntries for WriteTo's v3,
-// sectionTableEntriesV2 for WriteToVersion's v2): the file offsets of the
-// section table and the header CRC, and the total header length.
-func headerOffsets(ix *Index, nsecs int) (tableOff, crcOff, headerLen int) {
+// headerOffsets computes the fixed header geometry of ix's image: the
+// file offsets of the section table and the header CRC, and the total
+// header length.
+func headerOffsets(ix *Index) (tableOff, crcOff, headerLen int) {
 	tableOff = len(indexMagic) + 4 + int(paramsBlockLen(ix.params)) + 4
-	crcOff = tableOff + nsecs*sectionEntryBytes
+	crcOff = tableOff + sectionTableEntries*sectionEntryBytes
 	headerLen = crcOff + 4
 	return
 }
@@ -184,21 +214,18 @@ func refixHeaderCRC(data []byte, crcOff int) {
 	binary.LittleEndian.PutUint32(data[crcOff:], crc)
 }
 
-// mustReject asserts every decode path — the sized reader, the opaque
-// stream reader, and the mapped open — refuses the corrupt image. The
-// mapped open validates the header eagerly and section content lazily,
-// so its rejection surface is OpenIndexMapped + Verify.
+// mustReject asserts both open modes refuse the corrupt image: the heap
+// open (LoadFile, which verifies eagerly) and the mapped open, which
+// validates the header eagerly and section content lazily, so its
+// rejection surface is OpenIndexMapped + Verify.
 func mustReject(t *testing.T, name string, data []byte) {
 	t.Helper()
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Errorf("%s: ReadIndex (sized) accepted corrupt input", name)
-	}
-	if _, err := ReadIndex(opaqueReader{bytes.NewReader(data)}); err == nil {
-		t.Errorf("%s: ReadIndex (opaque) accepted corrupt input", name)
-	}
 	path := filepath.Join(t.TempDir(), "bad.slm")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err == nil {
+		t.Errorf("%s: LoadFile accepted corrupt input", name)
 	}
 	ix, err := OpenIndexMapped(path)
 	if err == nil {
@@ -213,7 +240,7 @@ func mustReject(t *testing.T, name string, data []byte) {
 // TestSerializeCorruptSectionTable drives the section-table defenses: a
 // corrupt section CRC, overlapping / misordered / misaligned section
 // offsets, forged counts, a violated header CRC and nonzero padding must
-// all be rejected by both the streaming reader and OpenIndexMapped.
+// all be rejected by both LoadFile and OpenIndexMapped.
 func TestSerializeCorruptSectionTable(t *testing.T) {
 	ix := buildTestIndex(t)
 	var buf bytes.Buffer
@@ -221,11 +248,17 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	tableOff, crcOff, headerLen := headerOffsets(ix, sectionTableEntries)
-	layout := fileLayout(sectionTableEntries, int64(headerLen), []int64{
+	tableOff, crcOff, headerLen := headerOffsets(ix)
+	layout := fileLayout(int64(headerLen), [sectionTableEntries]int64{
 		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
 		int64(len(ix.perm)), int64(len(ix.precs)),
 	})
+	// With no explicit ion series, the first mod's name length follows
+	// the fixed-size part of the params block.
+	if len(ix.params.IonSeries) != 0 || len(ix.params.Mods.Mods) == 0 {
+		t.Fatal("test index must carry mods and the default ion series")
+	}
+	nameLenOff := len(indexMagic) + 4 + int(paramsBlockLen(Params{}))
 
 	le := binary.LittleEndian
 	// Layout sanity: entry 0's offset field must hold the canonical
@@ -276,6 +309,15 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 		{"precs count vs rows", func(d []byte) {
 			le.PutUint64(entry(d, 4)[8:], uint64(len(ix.precs))-1)
 		}},
+		{"bucket count forged", func(d []byte) {
+			le.PutUint32(d[tableOff-4:], 0xFFFFFFFF)
+		}},
+		{"mod name length forged", func(d []byte) {
+			le.PutUint32(d[nameLenOff:], 0xFFFFFF)
+		}},
+		{"mod count forged", func(d []byte) {
+			le.PutUint32(d[nameLenOff-8:], 0xFFFF)
+		}},
 	}
 	for _, tc := range cases {
 		data := append([]byte(nil), valid...)
@@ -306,11 +348,11 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 // corruptSection applies mutate to section sec of a valid v3 image, then
 // re-fixes that section's table CRC and the header CRC — so the bytes
 // are internally consistent and only the semantic validation (eager for
-// the streaming readers, deferred to Verify for the mapped open) can
+// LoadFile, deferred to Verify for the mapped open) can
 // catch the corruption.
 func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(data []byte, lo int64)) []byte {
 	t.Helper()
-	tableOff, crcOff, _ := headerOffsets(ix, sectionTableEntries)
+	tableOff, crcOff, _ := headerOffsets(ix)
 	le := binary.LittleEndian
 	data := append([]byte(nil), valid...)
 	entry := data[tableOff+sec*sectionEntryBytes:]
@@ -327,7 +369,7 @@ func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(
 // every CRC but violate the invariants the windowed scan relies on: a
 // non-monotone precursor column, a precursor column disagreeing with the
 // rows, a perm that is not a permutation, out-of-range postings and an
-// unsorted bucket posting list. All must fail at open (streaming) or
+// unsorted bucket posting list. All must fail at open (LoadFile) or
 // Verify (mapped) — never serve.
 func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 	ix := buildTestIndex(t)
@@ -463,11 +505,63 @@ func TestSerializePreservesTolerances(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Params().PrecursorTol != mass.Ppm(20) {
 		t.Errorf("ppm tolerance not preserved: %+v", got.Params().PrecursorTol)
+	}
+}
+
+// TestReadIndexAllocationBounded asserts the core promise of the
+// hardened reader: a ~200-byte input whose header forges 2^28 rows (4 GiB
+// of row records, plus matching perm and precs counts, every entry at
+// its canonical offset and the header CRC re-fixed, so only the counts
+// themselves are at fault) is rejected, and opening it allocates in
+// proportion to the input, not to the forged count.
+func TestReadIndexAllocationBounded(t *testing.T) {
+	ix := buildPlainIndex(t)
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tableOff, crcOff, headerLen := headerOffsets(ix)
+	data := append([]byte(nil), buf.Bytes()[:headerLen]...)
+	counts := [sectionTableEntries]int64{1 << 28, int64(len(ix.offsets)), int64(len(ix.ids)), 1 << 28, 1 << 28}
+	forged := fileLayout(int64(headerLen), counts)
+	le := binary.LittleEndian
+	for i := range counts {
+		le.PutUint64(data[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
+		le.PutUint64(data[tableOff+i*sectionEntryBytes+8:], uint64(counts[i]))
+	}
+	refixHeaderCRC(data, crcOff)
+	data = append(data, make([]byte, int(forged.offs[0])-headerLen)...) // the zero padding
+	if len(data) > 256 {
+		t.Fatalf("forged input is %d bytes; the test wants a ~200-byte one", len(data))
+	}
+	path := filepath.Join(t.TempDir(), "forged.slm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const opens = 16
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < opens; i++ {
+		if _, err := LoadFile(path); err == nil {
+			t.Fatal("LoadFile accepted a header forging 2^28 rows")
+		}
+		if _, err := OpenIndexMapped(path); err == nil {
+			t.Fatal("OpenIndexMapped accepted a header forging 2^28 rows")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Each open costs the file handle, the error text and at most one
+	// copy of the input: a few KiB, against the 4 GiB the count claims.
+	if perOpen := (after.TotalAlloc - before.TotalAlloc) / (2 * opens); perOpen > 16<<10 {
+		t.Errorf("an open of a %d-byte forged input allocated %d bytes; the forged count leaked into allocation",
+			len(data), perOpen)
 	}
 }

@@ -414,7 +414,7 @@ func TestSerializePreservesIonSeries(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
